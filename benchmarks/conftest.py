@@ -1,7 +1,7 @@
 """Shared configuration for the benchmark suite.
 
-Every benchmark regenerates one table or figure of the paper (see DESIGN.md
-§3 for the experiment index).  The sweep sizes here are deliberately small so
+Every benchmark regenerates one table or figure of the paper (the
+experiment modules under ``repro.experiments`` name which).  The sweep sizes here are deliberately small so
 the whole suite runs in minutes on a laptop; pass larger sizes through the
 ``REPRO_BENCH_SIZES`` environment variable (comma-separated) to reproduce the
 shapes at scale.

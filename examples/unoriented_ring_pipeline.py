@@ -24,7 +24,7 @@ from repro.protocols.orientation import OrientedRingPipeline
 def main(n: int = 20, seed: int = 5) -> int:
     pipeline = OrientedRingPipeline(n, num_colors=5, kappa_factor=8, seed=seed)
     print(f"anonymous undirected ring with {n} agents")
-    print("phase 1: two-hop coloring  (substituted substrate, see DESIGN.md)")
+    print("phase 1: two-hop coloring  (ring-specialised substitute for [24])")
     print("phase 2: ring orientation  (P_OR, Algorithm 6, Theorem 5.2)")
     print("phase 3: leader election   (P_PL, Algorithms 1-5, Theorem 3.1)")
 

@@ -2,8 +2,7 @@
 
 :class:`ExperimentConfig` is the single bag of sweep parameters understood by
 every layer of the stack — the :mod:`repro.api.registry` specs, the trial
-executor, the fluent builder, and the legacy experiment harnesses (which
-re-export it unchanged for backwards compatibility).  It is a frozen,
+executor, the fluent builder, and the experiment modules.  It is a frozen,
 picklable dataclass so trial tasks can ship it to worker processes verbatim.
 """
 

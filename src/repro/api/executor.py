@@ -166,8 +166,9 @@ def trial_tasks(
 ) -> List[TrialTask]:
     """Derive the per-trial seed pairs for one batch, in trial order.
 
-    ``rng_label`` defaults to ``spec_name``; the harness shims override it to
-    reproduce the exact random streams of the pre-registry adapters.
+    ``rng_label`` defaults to ``spec_name``; a sweep that runs one spec from
+    two families (``ppl`` and ``ppl-leaderless``) overrides it so the two
+    point streams stay independent.
     """
     count = config.trials if trials is None else trials
     if count < 1:
@@ -267,7 +268,6 @@ def execute_trial(task: TrialTask) -> TrialResult:
     outcome — are bit-identical.
     """
     from repro.api.registry import get_spec
-    from repro.core.fast_simulator import BatchedSimulation, NumpySimulation
 
     spec = get_spec(task.spec_name)
     protocol = spec.build_protocol(task.population_size, task.config)
@@ -318,18 +318,12 @@ def execute_trial(task: TrialTask) -> TrialResult:
         check_interval=task.config.check_interval,
         check_backoff=task.config.check_backoff,
     )
-    if isinstance(simulation, NumpySimulation):
-        engine_name = "numpy"
-    elif isinstance(simulation, BatchedSimulation):
-        engine_name = "batched"
-    else:
-        engine_name = "step"
     return TrialResult(
         trial=task.trial,
         steps=run.steps,
         converged=run.satisfied,
         wall_time=time.perf_counter() - started,
-        engine=engine_name,
+        engine=simulation.name,
         protocol_name=protocol.name,
     )
 

@@ -1,9 +1,8 @@
 """The :class:`ProtocolSpec` registry: every runnable protocol, declaratively.
 
-Before this module existed, each protocol had a hand-written ``run_*``
-adapter in ``experiments/harness.py`` wiring together the same five
-ingredients: a protocol factory, a population, an initial-configuration
-family, a stop predicate, and (for the oracle baseline) a custom simulation.
+A protocol run needs five ingredients: a protocol factory, a population,
+an initial-configuration family, a stop predicate, and (for the oracle
+baseline) a custom simulation.
 A :class:`ProtocolSpec` names those ingredients once; :func:`run_spec` then
 runs *any* registered protocol with one generic code path, and the CLI's
 ``run``/``list`` commands, the fluent :mod:`repro.api.builder`, and the
@@ -20,7 +19,7 @@ Two kinds of spec exist:
   the model so every listed spec is runnable.
 
 Registering a new protocol is one :func:`register` call; nothing in the
-harness, CLI, or builder needs editing.
+experiments, CLI, or builder needs editing.
 """
 
 from __future__ import annotations
@@ -42,13 +41,11 @@ from repro.core.fast_simulator import (
     ENGINES,
     BatchedSimulation,
     NumpySimulation,
-    batched_simulation_factory,
     numpy_available,
-    numpy_simulation_factory,
 )
 from repro.core.protocol import Protocol
 from repro.core.rng import RandomSource
-from repro.core.simulator import Simulation
+from repro.core.simulator import EngineCore, Simulation
 from repro.topology.graph import Population
 from repro.topology.registry import (
     DEFAULT_TOPOLOGY,
@@ -72,6 +69,11 @@ SimulationFactory = Callable[
 ]
 #: Evaluates an analytic (non-simulable) model at one population size.
 AnalyticModel = Callable[[int, ExperimentConfig], Dict[str, object]]
+
+#: The table-tier engine class behind each table engine name (the step
+#: engine is built through the spec's ``simulation_factory`` hook).
+_TABLE_ENGINES = {engine.name: engine
+                  for engine in (BatchedSimulation, NumpySimulation)}
 
 
 def _any_ring(n: int) -> bool:
@@ -135,8 +137,8 @@ class ProtocolSpec:
     supported_topologies: Optional[Tuple[str, ...]] = None
     supports: Callable[[int], bool] = _any_ring
     supported_note: str = "any ring size n >= 2"
-    #: Prefix of the master RNG label (defaults to ``name``); the harness
-    #: shims override it per call to reproduce the pre-registry streams.
+    #: Prefix of the master RNG label (defaults to ``name``); callers may
+    #: override it per run (e.g. ``ppl-leaderless`` in the scaling sweep).
     rng_label: Optional[str] = None
     analytic_model: Optional[AnalyticModel] = None
     reference: str = ""
@@ -357,7 +359,7 @@ class ProtocolSpec:
                          engine: str = "auto",
                          encoder: "StateEncoder | None" = None,
                          scheduler=None,
-                         ) -> "Simulation | BatchedSimulation | NumpySimulation":
+                         ) -> EngineCore:
         """Build the simulation for one trial on the resolved engine.
 
         ``auto`` prefers the fastest applicable tier: the vectorized numpy
@@ -368,10 +370,11 @@ class ProtocolSpec:
         covers this trial's initial configuration, with a per-trial build as
         the fallback, so sharing never changes results.
 
-        Any encoder is built *before* a draw is taken from ``rng``, and all
-        engine factories consume exactly one ``rng.randint`` in the same
-        position, so the random streams — and therefore every trial result —
-        are bit-identical whichever engine ends up running.
+        Any encoder is built *before* a draw is taken from ``rng``, and every
+        engine takes exactly one ``rng.randint`` draw, in the same position
+        (the spec's ``simulation_factory`` on the step engine, the
+        table-engine class lookup otherwise), so the random streams — and therefore every trial
+        result — are bit-identical whichever engine ends up running.
 
         ``scheduler`` (an explicit :class:`~repro.core.scheduler.Scheduler`,
         e.g. the scenario runtime's biased-arc scheduler) replaces the
@@ -388,35 +391,29 @@ class ProtocolSpec:
                 f"protocol {self.name!r} runs a custom simulation that owns "
                 "its scheduler; an explicit scheduler does not apply"
             )
+        if mode != "step":
+            if encoder is not None and not encoder.covers(initial.states()):
+                encoder = None  # shared table misses a state: recompile per trial
+            if mode == "auto":
+                if encoder is None:
+                    encoder = StateEncoder.try_build(protocol, initial.states())
+                if encoder is None:
+                    mode = "step"
+                else:
+                    mode = "numpy" if numpy_available() else "batched"
+            elif encoder is None:
+                encoder = StateEncoder.build(protocol, initial.states())
         if mode == "step":
             if scheduler is not None:
                 return Simulation(protocol, population, initial,
                                   scheduler=scheduler)
             return self.simulation_factory(protocol, population, initial, rng)
-        if encoder is not None and not encoder.covers(initial.states()):
-            encoder = None  # shared table misses a state: recompile per trial
-        if mode == "auto":
-            if encoder is None:
-                encoder = StateEncoder.try_build(protocol, initial.states())
-            if encoder is None:
-                if scheduler is not None:
-                    return Simulation(protocol, population, initial,
-                                      scheduler=scheduler)
-                return self.simulation_factory(protocol, population, initial, rng)
-            mode = "numpy" if numpy_available() else "batched"
-        elif encoder is None:
-            encoder = StateEncoder.build(protocol, initial.states())
-        if mode == "numpy":
-            if scheduler is not None:
-                return NumpySimulation(protocol, population, initial,
-                                       scheduler=scheduler, encoder=encoder)
-            return numpy_simulation_factory(protocol, population, initial, rng,
-                                            encoder=encoder)
+        engine_class = _TABLE_ENGINES[mode]
         if scheduler is not None:
-            return BatchedSimulation(protocol, population, initial,
-                                     scheduler=scheduler, encoder=encoder)
-        return batched_simulation_factory(protocol, population, initial, rng,
-                                          encoder=encoder)
+            return engine_class(protocol, population, initial,
+                                scheduler=scheduler, encoder=encoder)
+        return engine_class(protocol, population, initial,
+                            rng=rng.randint(0, 2 ** 31 - 1), encoder=encoder)
 
 
 # ---------------------------------------------------------------------- #

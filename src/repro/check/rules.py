@@ -40,9 +40,15 @@ REP006   Snapshot completeness.  In any class that defines both
          by ``restore()``.  An engine that grows a mutable field without
          extending its snapshot silently corrupts every phased-scenario
          resume; this rule turns that drift into a lint failure.
-         Immutable shared fields (the protocol, the population, compiled
-         transition tables) are legitimately outside the snapshot and
-         carry an ``allow`` on their ``__init__`` assignment.
+         Inheritance is followed through bases defined in the same
+         module: a class's fields are those of every ``__init__`` it runs
+         (its own and the bases' it reaches via ``super().__init__``), and
+         its snapshot pair is its own methods plus the base methods they
+         reach via ``super()`` — a subclass that *replaces* its base's
+         pair loses the base's fields.  Immutable shared fields (the
+         protocol, the population, compiled transition tables) are
+         legitimately outside the snapshot and carry an ``allow`` on
+         their ``__init__`` assignment.
 =======  ==============================================================
 
 A finding is silenced by an inline ``# repro: allow[REP001]`` comment on
@@ -57,13 +63,16 @@ inventory:
   lease and retry timing deliberately uses ``time.monotonic()`` /
   ``time.sleep()``, which the rule permits by design (durations, not
   identity), so the fabric needs no allows at all.
-* REP006 — the engines' immutable shared fields, audited per class:
-  ``Simulation`` (protocol, population, observers — rebound, never
-  mutated mid-run), ``BatchedSimulation`` and ``NumpySimulation``
-  (protocol, population, encoder, arc list, compiled flat tables, and
-  layout constants — all invariant for the simulation's lifetime; the
-  mutable run state they parameterize — codes, stream position,
-  counters — is exactly what ``snapshot()`` captures).
+* REP006 — the engines' immutable shared fields, audited per class
+  (15 allows): ``EngineCore`` (protocol, population, and the explicit
+  scheduler binding, whose position ``snapshot()`` captures through the
+  arc stream), ``Simulation`` (observers — attachments of the driver),
+  the table tiers' ``_TableSimulation`` (encoder, compiled flat tables,
+  table width, arc count), ``BatchedSimulation`` (arc list) and
+  ``NumpySimulation`` (numpy module handle, block size, scratch index
+  vectors) — all invariant for the simulation's lifetime; the mutable
+  run state they parameterize — states or codes, stream position,
+  counters — is exactly what ``snapshot()`` captures.
 """
 
 from __future__ import annotations
@@ -319,37 +328,98 @@ def _self_attribute_references(function: ast.AST) -> frozenset:
     return frozenset(names)
 
 
+def _base_names(node: ast.ClassDef) -> List[str]:
+    """Plain names of a class's bases (``Base`` and ``Base[T]`` alike);
+    dotted bases come from other modules and are left out."""
+    names = []
+    for base in node.bases:
+        if isinstance(base, ast.Subscript):
+            base = base.value
+        if isinstance(base, ast.Name):
+            names.append(base.id)
+    return names
+
+
+def _class_chain(node: ast.ClassDef,
+                 classes: Dict[str, ast.ClassDef]) -> List[ast.ClassDef]:
+    """``node`` then its bases defined in the same module, depth-first and
+    left to right (the method-resolution order for single inheritance).
+    A per-file rule cannot see bases imported from other modules."""
+    chain: List[ast.ClassDef] = []
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if any(current is seen for seen in chain):
+            continue
+        chain.append(current)
+        stack.extend(reversed([classes[name] for name in _base_names(current)
+                               if name in classes]))
+    return chain
+
+
+def _calls_super(function: ast.AST, name: str) -> bool:
+    """True when ``function`` calls ``super().<name>(...)``."""
+    return any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == name
+        and isinstance(node.func.value, ast.Call)
+        and isinstance(node.func.value.func, ast.Name)
+        and node.func.value.func.id == "super"
+        for node in _scope_walk(function))
+
+
+def _inherited(chain: Sequence[ast.ClassDef],
+               name: str) -> List[Tuple[ast.ClassDef, ast.AST]]:
+    """``(owner, definition)`` of method ``name`` as it runs on ``chain[0]``:
+    the first definition along the chain, plus each further one that the
+    previous reaches through ``super().<name>(...)``."""
+    definitions: List[Tuple[ast.ClassDef, ast.AST]] = []
+    for owner in chain:
+        for item in owner.body:
+            if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and item.name == name):
+                definitions.append((owner, item))
+                if not _calls_super(item, name):
+                    return definitions
+                break
+    return definitions
+
+
 def _visit_rep006(tree: ast.Module) -> Iterator[Tuple[ast.AST, str]]:
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
+    class_nodes = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef)]
+    classes = {node.name: node for node in class_nodes}
+    reported = set()
+    for node in class_nodes:
+        chain = _class_chain(node, classes)
+        snapshots = _inherited(chain, "snapshot")
+        restores = _inherited(chain, "restore")
+        if not (snapshots and restores):
             continue
-        methods = {item.name: item for item in node.body
-                   if isinstance(item, (ast.FunctionDef,
-                                        ast.AsyncFunctionDef))}
-        if not ("snapshot" in methods and "restore" in methods):
-            continue
-        init = methods.get("__init__")
-        if init is None:
-            continue
-        captured = _self_attribute_references(methods["snapshot"])
-        restored = _self_attribute_references(methods["restore"])
-        reported = set()
-        for store in _self_attribute_stores(init):
-            name = store.attr
-            if name in reported:
-                continue
-            missing = []
-            if name not in captured:
-                missing.append("snapshot()")
-            if name not in restored:
-                missing.append("restore()")
-            if missing:
-                reported.add(name)
-                yield store, (
-                    f"self.{name} is assigned in {node.name}.__init__ but "
-                    f"not referenced by {' or '.join(missing)}; mutable "
-                    "run state must round-trip through snapshot/restore "
-                    "(immutable shared fields take an explicit allow)")
+        captured = frozenset().union(*(_self_attribute_references(function)
+                                       for _, function in snapshots))
+        restored = frozenset().union(*(_self_attribute_references(function)
+                                       for _, function in restores))
+        for owner, init in _inherited(chain, "__init__"):
+            for store in _self_attribute_stores(init):
+                name = store.attr
+                if (owner, name) in reported:
+                    continue
+                missing = []
+                if name not in captured:
+                    missing.append("snapshot()")
+                if name not in restored:
+                    missing.append("restore()")
+                if missing:
+                    reported.add((owner, name))
+                    whose = "" if owner is node else f"{node.name}'s "
+                    yield store, (
+                        f"self.{name} is assigned in {owner.name}.__init__ but "
+                        f"not referenced by {whose}{' or '.join(missing)}; "
+                        "mutable run state must round-trip through "
+                        "snapshot/restore (immutable shared fields take an "
+                        "explicit allow)")
 
 
 def _in_packages(*prefixes: str) -> Callable[[str], bool]:

@@ -21,9 +21,7 @@ from repro.core.fast_simulator import (
     ENGINES,
     BatchedSimulation,
     NumpySimulation,
-    batched_simulation_factory,
     numpy_available,
-    numpy_simulation_factory,
 )
 from repro.core.metrics import LeaderTrajectory, StepMetrics
 from repro.core.protocol import (
@@ -81,10 +79,8 @@ __all__ = [
     "TopologyError",
     "TraceRecorder",
     "UniformRandomScheduler",
-    "batched_simulation_factory",
     "concat",
     "numpy_available",
-    "numpy_simulation_factory",
     "configuration_from_factory",
     "ensure_source",
     "full_clockwise_sweep",

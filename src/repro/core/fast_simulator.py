@@ -1,4 +1,9 @@
-"""The batched simulation engine: table-driven stepping over integer codes.
+"""The table engine tiers: table-driven stepping over integer codes.
+
+Both tiers are :class:`~repro.core.simulator.EngineCore` subclasses: the run
+driver, accessors, counters and snapshot contract are the core's, and each
+tier here contributes its ``_advance`` kernel, its random arc source, and the
+code array its stop predicate is decoded from.
 
 :class:`BatchedSimulation` is a drop-in replacement for
 :class:`~repro.core.simulator.Simulation` for protocols whose state space a
@@ -46,30 +51,21 @@ a :class:`~repro.core.recorder.TraceRecorder` or
 from __future__ import annotations
 
 import importlib.util
-from typing import Generic, List, Optional, TypeVar
+from typing import List, Optional, Tuple, TypeVar
 
 from repro.core.configuration import Configuration
 from repro.core.encoding import DEFAULT_MAX_STATES, StateEncoder
-from repro.core.errors import (
-    InvalidConfigurationError,
-    InvalidParameterError,
-    ScheduleExhaustedError,
-)
-from repro.core.metrics import StepMetrics
+from repro.core.errors import InvalidParameterError, ScheduleExhaustedError
 from repro.core.protocol import Protocol
 from repro.core.rng import RandomSource, ensure_source
 from repro.core.scheduler import Scheduler
-from repro.core.simulator import RunResult, StatePredicate, resolve_check_cap
+from repro.core.simulator import EngineCore
 from repro.topology.graph import Population
 
 StateT = TypeVar("StateT")
 
 #: The engine names understood across the stack (config, registry, CLI).
 ENGINES = ("auto", "step", "batched", "numpy")
-
-#: Upper bound on one internal block: bounds the arc-draw buffer (a list of
-#: ints) regardless of how many steps a single run()/run_until() burst asks for.
-_MAX_BLOCK = 65_536
 
 #: Block bounds for the numpy engine.  Conflict-layer count grows with
 #: ``block / n`` while per-block fixed costs shrink with it, so the block
@@ -103,17 +99,92 @@ def _require_numpy():
     return numpy
 
 
-class BatchedSimulation(Generic[StateT]):
-    """Executes one protocol on one population through a compiled table.
+class _TableSimulation(EngineCore[StateT]):
+    """What the two table tiers share: the compiled encoder, the state-code
+    array, its decoded views, and the O(1) leader count.
 
-    Parameters mirror :class:`~repro.core.simulator.Simulation`: pass either
-    a ``scheduler`` (any :class:`Scheduler`, e.g. a ``SequenceScheduler`` for
-    replay/cross-checks) or an ``rng`` seed/source for the built-in uniformly
-    random drawing.  ``encoder`` may be shared across simulations; when
-    omitted, one is built from the initial configuration's states (raising
+    ``encoder`` may be shared across simulations; when omitted, one is built
+    from the initial configuration's states (raising
     :class:`~repro.core.errors.StateSpaceError` when the protocol cannot be
     enumerated — the caller is expected to fall back to the step engine).
+    Subclasses supply :meth:`codes` (the code array as a list) and
+    :meth:`_compiled_tables`.
     """
+
+    def __init__(
+        self,
+        protocol: Protocol[StateT],
+        population: Population,
+        initial: Configuration[StateT],
+        scheduler: Optional[Scheduler],
+        rng: "RandomSource | int | None",
+        encoder: "StateEncoder[StateT] | None",
+        max_states: int,
+    ) -> None:
+        super().__init__(protocol, population, initial, scheduler, rng)
+        # Shared immutable structure (encoder, compiled tables, layout
+        # constants): invariant for the simulation's lifetime, so not part
+        # of the run state.
+        self._encoder = encoder if encoder is not None else StateEncoder.build(  # repro: allow[REP006]
+            protocol, initial.states(), max_states=max_states
+        )
+        self._initiator_out, self._responder_out, self._changed, self._leader_delta = self._compiled_tables()  # repro: allow[REP006]
+        self._width = self._encoder.num_states  # repro: allow[REP006]
+        self._num_arcs = population.num_arcs  # repro: allow[REP006]
+        self._codes = self._encoder.encode_all(initial.states())
+        leader_flags = self._encoder.leader_flags()
+        self._leaders = sum(leader_flags[code] for code in self._codes)
+
+    def _compiled_tables(self) -> Tuple[object, object, object, object]:
+        """``(initiator_out, responder_out, changed, leader_delta)`` in the
+        form this tier's kernel indexes."""
+        raise NotImplementedError
+
+    @property
+    def encoder(self) -> StateEncoder[StateT]:
+        """The compiled state encoder driving this simulation."""
+        return self._encoder
+
+    def codes(self) -> List[int]:
+        """The integer state array as a list (read-only for callers)."""
+        raise NotImplementedError
+
+    def states(self) -> List[StateT]:
+        """Snapshot of the agent states (decoded fresh on every call)."""
+        return self._encoder.decode_all(self.codes())
+
+    def _view(self) -> List[StateT]:
+        return self._encoder.decode_view(self.codes())
+
+    def _agent_state(self, agent: int) -> StateT:
+        return self._encoder.decode(self._codes[agent])
+
+    def leader_count(self) -> int:
+        """Number of agents currently outputting the leader symbol (O(1))."""
+        return self._leaders
+
+    def snapshot(self) -> dict:
+        """Capture the full execution state (see :meth:`EngineCore.snapshot`)."""
+        snapshot = super().snapshot()
+        snapshot["codes"] = self._codes.copy()
+        snapshot["leaders"] = self._leaders
+        return snapshot
+
+    def restore(self, snapshot: dict) -> None:
+        """Rewind to a state captured by :meth:`snapshot` (same simulation)."""
+        super().restore(snapshot)
+        self._codes = snapshot["codes"].copy()
+        self._leaders = snapshot["leaders"]
+
+
+class BatchedSimulation(_TableSimulation[StateT]):
+    """Executes one protocol on one population through a compiled table.
+
+    Parameters mirror :class:`~repro.core.simulator.Simulation`, plus the
+    optional shared ``encoder`` (see :class:`_TableSimulation`).
+    """
+
+    name = "batched"
 
     def __init__(
         self,
@@ -125,143 +196,24 @@ class BatchedSimulation(Generic[StateT]):
         encoder: "StateEncoder[StateT] | None" = None,
         max_states: int = DEFAULT_MAX_STATES,
     ) -> None:
-        if len(initial) != population.size:
-            raise InvalidConfigurationError(
-                f"configuration has {len(initial)} agents but the population has "
-                f"{population.size}"
-            )
-        # Shared immutable structure (protocol, topology, compiled tables):
-        # identical across snapshot/restore, so not part of the run state.
-        self._protocol = protocol  # repro: allow[REP006]
-        self._population = population  # repro: allow[REP006]
-        self._encoder = encoder if encoder is not None else StateEncoder.build(  # repro: allow[REP006]
-            protocol, initial.states(), max_states=max_states
-        )
-        self._codes: List[int] = self._encoder.encode_all(initial.states())
-        self._scheduler = scheduler
-        self._rng = None if scheduler is not None else ensure_source(rng)
-        self._num_arcs = population.num_arcs  # repro: allow[REP006]
+        super().__init__(protocol, population, initial, scheduler, rng,
+                         encoder, max_states)
         # Index an arc list only when the population already has one; lazy
         # populations (large complete graphs) stay allocation-free via the
         # closed-form arc_by_index path.
         self._arc_list = population.arcs if population.has_materialized_arcs else None  # repro: allow[REP006]
-        tables = self._encoder.tables()
-        self._initiator_out, self._responder_out, self._changed, self._leader_delta = tables  # repro: allow[REP006]
-        self._width = self._encoder.num_states  # repro: allow[REP006]
-        leader_flags = self._encoder.leader_flags()
-        self._leaders = sum(leader_flags[code] for code in self._codes)
-        self._total_steps = 0
-        self._effective_steps = 0
-        self._interactions = [0] * population.size
 
-    # ------------------------------------------------------------------ #
-    # Accessors (mirroring Simulation)
-    # ------------------------------------------------------------------ #
-    @property
-    def protocol(self) -> Protocol[StateT]:
-        """The protocol being executed."""
-        return self._protocol
+    def _random_stream(self, population: Population,
+                       rng: "RandomSource | int | None") -> RandomSource:
+        return ensure_source(rng)
 
-    @property
-    def population(self) -> Population:
-        """The population graph."""
-        return self._population
-
-    @property
-    def encoder(self) -> StateEncoder[StateT]:
-        """The compiled state encoder driving this simulation."""
-        return self._encoder
-
-    @property
-    def steps(self) -> int:
-        """Total number of steps executed so far."""
-        return self._total_steps
-
-    @property
-    def effective_steps(self) -> int:
-        """Steps in which the transition actually changed some state."""
-        return self._effective_steps
-
-    @property
-    def metrics(self) -> StepMetrics:
-        """Step metrics, materialized from the incremental counters.
-
-        Unlike :class:`Simulation`, the returned object is a snapshot (the
-        counters live in flat arrays on the hot path); its contents equal the
-        step engine's metrics for the same arc stream.
-        """
-        per_agent = {
-            agent: count
-            for agent, count in enumerate(self._interactions)
-            if count
-        }
-        return StepMetrics(
-            steps=self._total_steps,
-            interactions_per_agent=per_agent,
-            effective_steps=self._effective_steps,
-        )
-
-    def state_of(self, agent: int) -> StateT:
-        """Current state of one agent; out-of-range indices raise ``IndexError``."""
-        if not 0 <= agent < len(self._codes):
-            raise IndexError(
-                f"agent {agent} out of range for a population of {len(self._codes)}"
-            )
-        return self._encoder.decode(self._codes[agent])
-
-    def states(self) -> List[StateT]:
-        """Snapshot of the agent states (decoded fresh on every call)."""
-        return self._encoder.decode_all(self._codes)
+    def _compiled_tables(self):
+        return self._encoder.tables()
 
     def codes(self) -> List[int]:
         """The live integer state array (read-only for callers)."""
         return self._codes
 
-    def configuration(self) -> Configuration[StateT]:
-        """Immutable snapshot of the current configuration."""
-        return Configuration(self._encoder.decode_all(self._codes))
-
-    def leader_count(self) -> int:
-        """Number of agents currently outputting the leader symbol (O(1))."""
-        return self._leaders
-
-    def add_observer(self, observer: object) -> None:
-        """Unsupported: observers would reintroduce a Python call per step."""
-        raise InvalidParameterError(
-            "the batched engine does not support per-interaction observers; "
-            "use the step engine (Simulation) for traced runs"
-        )
-
-    # ------------------------------------------------------------------ #
-    # State capture (the engine snapshot/restore contract)
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> dict:
-        """Capture the full execution state (same contract as ``Simulation``)."""
-        return {
-            "codes": list(self._codes),
-            "stream": (self._rng.getstate() if self._rng is not None
-                       else self._scheduler.getstate()),
-            "total_steps": self._total_steps,
-            "effective_steps": self._effective_steps,
-            "interactions": list(self._interactions),
-            "leaders": self._leaders,
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        """Rewind to a state captured by :meth:`snapshot` (same simulation)."""
-        self._codes = list(snapshot["codes"])
-        if self._rng is not None:
-            self._rng.setstate(snapshot["stream"])
-        else:
-            self._scheduler.setstate(snapshot["stream"])
-        self._total_steps = snapshot["total_steps"]
-        self._effective_steps = snapshot["effective_steps"]
-        self._interactions = list(snapshot["interactions"])
-        self._leaders = snapshot["leaders"]
-
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
     def _advance(self, count: int) -> None:
         """Execute ``count`` interactions through the table (one block).
 
@@ -284,7 +236,7 @@ class BatchedSimulation(Generic[StateT]):
                 # Draw the whole block of arc indices up front (same
                 # randrange stream, in the same order, as the uniformly
                 # random scheduler), then apply them through the table.
-                randrange = self._rng.randrange_callable()
+                randrange = self._stream.randrange_callable()
                 num_arcs = self._num_arcs
                 draws = [randrange(num_arcs) for _ in range(count)]
                 arcs = self._arc_list
@@ -313,7 +265,7 @@ class BatchedSimulation(Generic[StateT]):
                         counts[responder] += 1
                 executed = count
             else:
-                next_arc = self._scheduler.next_arc
+                next_arc = self._stream.next_arc
                 while executed < count:
                     initiator, responder = next_arc()
                     executed += 1
@@ -329,103 +281,6 @@ class BatchedSimulation(Generic[StateT]):
             self._total_steps += executed
             self._effective_steps += effective
             self._leaders = leaders
-
-    def _advance_chunked(self, count: int) -> None:
-        """Execute ``count`` interactions in bounded-size blocks."""
-        remaining = count
-        while remaining > 0:
-            block = min(remaining, _MAX_BLOCK)
-            self._advance(block)
-            remaining -= block
-
-    def step(self) -> bool:
-        """Execute one interaction; return True when some state changed."""
-        before = self._effective_steps
-        self._advance(1)
-        return self._effective_steps != before
-
-    def run(self, steps: int) -> Configuration[StateT]:
-        """Execute exactly ``steps`` interactions and return the final snapshot."""
-        if steps < 0:
-            raise InvalidParameterError(f"steps must be non-negative, got {steps}")
-        self._advance_chunked(steps)
-        return self.configuration()
-
-    def run_sequence(self) -> Configuration[StateT]:
-        """Run until the (deterministic) scheduler is exhausted."""
-        if self._scheduler is None:
-            raise InvalidParameterError(
-                "run_sequence needs an explicit (finite) scheduler; this "
-                "simulation draws from a random source"
-            )
-        try:
-            while True:
-                self._advance(_MAX_BLOCK)
-        except ScheduleExhaustedError:
-            pass
-        return self.configuration()
-
-    def run_until(
-        self,
-        predicate: StatePredicate,
-        max_steps: int,
-        check_interval: int = 1,
-        check_backoff: bool = False,
-        check_interval_cap: Optional[int] = None,
-    ) -> RunResult[StateT]:
-        """Run until ``predicate(states)`` holds — identical semantics (and,
-        per arc stream, identical step counts) to :meth:`Simulation.run_until`,
-        including the optional geometric check-interval backoff.
-
-        The predicate is evaluated on a zero-copy decoded view of the state
-        array: agents in equal states share one object, so predicates must
-        treat the sequence as read-only (all predicates in this package do).
-        """
-        if max_steps < 0:
-            raise ValueError(f"max_steps must be non-negative, got {max_steps}")
-        cap = resolve_check_cap(check_interval, check_backoff, check_interval_cap)
-        decode_view = self._encoder.decode_view
-        if predicate(decode_view(self._codes)):
-            return RunResult(True, 0, self.configuration())
-        executed = 0
-        interval = check_interval
-        while executed < max_steps:
-            burst = min(interval, max_steps - executed)
-            self._advance_chunked(burst)
-            executed += burst
-            if predicate(decode_view(self._codes)):
-                return RunResult(True, executed, self.configuration())
-            if check_backoff and interval < cap:
-                interval = min(interval * 2, cap)
-        return RunResult(False, executed, self.configuration())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<BatchedSimulation protocol={self._protocol.name!r} "
-            f"population={self._population.name!r} states={self._width} "
-            f"steps={self._total_steps}>"
-        )
-
-
-def batched_simulation_factory(
-    protocol: Protocol[StateT],
-    population: Population,
-    initial: Configuration[StateT],
-    rng: RandomSource,
-    encoder: "StateEncoder[StateT] | None" = None,
-    max_states: int = DEFAULT_MAX_STATES,
-) -> BatchedSimulation[StateT]:
-    """Batched counterpart of ``default_simulation_factory``.
-
-    Consumes exactly one ``rng.randint`` draw — the same draw, in the same
-    position, as the step-engine factory — so switching engines never shifts
-    any other random stream and per-trial results stay bit-identical.
-    """
-    return BatchedSimulation(
-        protocol, population, initial,
-        rng=rng.randint(0, 2 ** 31 - 1),
-        encoder=encoder, max_states=max_states,
-    )
 
 
 class _BlockDraws:
@@ -553,7 +408,8 @@ class _BlockDraws:
         self._cursor = cursor
 
 
-class NumpySimulation(Generic[StateT]):
+
+class NumpySimulation(_TableSimulation[StateT]):
     """The vectorized third engine tier: block replay over ``numpy`` arrays.
 
     API and semantics mirror :class:`BatchedSimulation` (same constructor,
@@ -573,8 +429,12 @@ class NumpySimulation(Generic[StateT]):
     Construction requires numpy (:class:`InvalidParameterError` otherwise);
     selection paths gate on :func:`numpy_available` first.  When constructed
     from an ``rng``, the simulation owns that source (bulk word reads
-    advance it ahead of any per-call consumer).
+    advance it ahead of any per-call consumer), and the stream snapshot
+    includes :class:`_BlockDraws`' buffered-but-unconsumed words, so a
+    restore resumes the ``randrange`` stream at the exact draw captured.
     """
+
+    name = "numpy"
 
     def __init__(
         self,
@@ -587,36 +447,13 @@ class NumpySimulation(Generic[StateT]):
         max_states: int = DEFAULT_MAX_STATES,
     ) -> None:
         numpy = _require_numpy()
-        if len(initial) != population.size:
-            raise InvalidConfigurationError(
-                f"configuration has {len(initial)} agents but the population has "
-                f"{population.size}"
-            )
-        # Shared immutable structure (module handle, protocol, topology,
-        # compiled tables, layout constants, read-only scratch index
-        # vectors): identical across snapshot/restore by construction.
+        super().__init__(protocol, population, initial, scheduler, rng,
+                         encoder, max_states)
+        # Shared immutable structure (module handle, block size, read-only
+        # scratch index vectors): identical across snapshot/restore.
         self._numpy = numpy  # repro: allow[REP006]
-        self._protocol = protocol  # repro: allow[REP006]
-        self._population = population  # repro: allow[REP006]
-        self._encoder = encoder if encoder is not None else StateEncoder.build(  # repro: allow[REP006]
-            protocol, initial.states(), max_states=max_states
-        )
-        self._codes = numpy.array(self._encoder.encode_all(initial.states()),
-                                  dtype=numpy.int64)
-        tables = self._encoder.numpy_tables()
-        self._initiator_out = tables["initiator_out"]  # repro: allow[REP006]
-        self._responder_out = tables["responder_out"]  # repro: allow[REP006]
-        self._changed = tables["changed"]  # repro: allow[REP006]
-        self._leader_delta = tables["leader_delta"]  # repro: allow[REP006]
-        self._width = self._encoder.num_states  # repro: allow[REP006]
-        self._leaders = int(tables["leader_flags"][self._codes].sum())
-        self._scheduler = scheduler
-        self._draws = None if scheduler is not None else _BlockDraws(ensure_source(rng))
-        self._num_arcs = population.num_arcs  # repro: allow[REP006]
+        self._codes = numpy.array(self._codes, dtype=numpy.int64)
         size = population.size
-        self._interactions = numpy.zeros(size, dtype=numpy.int64)
-        self._total_steps = 0
-        self._effective_steps = 0
         # Half the population size balances conflict-layer count (which
         # grows with block/n) against per-block fixed costs (measured
         # optimum on the ring benchmarks), inside the global clamps.
@@ -630,115 +467,24 @@ class NumpySimulation(Generic[StateT]):
         self._ascending = numpy.arange(self._block, dtype=numpy.int32)  # repro: allow[REP006]
         self._descending = self._ascending[::-1].copy()  # repro: allow[REP006]
 
-    # ------------------------------------------------------------------ #
-    # Accessors (mirroring BatchedSimulation)
-    # ------------------------------------------------------------------ #
-    @property
-    def protocol(self) -> Protocol[StateT]:
-        """The protocol being executed."""
-        return self._protocol
+    def _random_stream(self, population: Population,
+                       rng: "RandomSource | int | None") -> "_BlockDraws":
+        return _BlockDraws(ensure_source(rng))
 
-    @property
-    def population(self) -> Population:
-        """The population graph."""
-        return self._population
+    def _new_counters(self, size: int):
+        import numpy
 
-    @property
-    def encoder(self) -> StateEncoder[StateT]:
-        """The compiled state encoder driving this simulation."""
-        return self._encoder
+        return numpy.zeros(size, dtype=numpy.int64)
 
-    @property
-    def steps(self) -> int:
-        """Total number of steps executed so far."""
-        return self._total_steps
-
-    @property
-    def effective_steps(self) -> int:
-        """Steps in which the transition actually changed some state."""
-        return self._effective_steps
-
-    @property
-    def metrics(self) -> StepMetrics:
-        """Step metrics snapshot, materialized from the vectorized counters."""
-        counts = self._interactions
-        per_agent = {
-            int(agent): int(counts[agent])
-            for agent in self._numpy.flatnonzero(counts)
-        }
-        return StepMetrics(
-            steps=self._total_steps,
-            interactions_per_agent=per_agent,
-            effective_steps=self._effective_steps,
-        )
-
-    def state_of(self, agent: int) -> StateT:
-        """Current state of one agent; out-of-range indices raise ``IndexError``."""
-        if not 0 <= agent < self._codes.shape[0]:
-            raise IndexError(
-                f"agent {agent} out of range for a population of "
-                f"{self._codes.shape[0]}"
-            )
-        return self._encoder.decode(int(self._codes[agent]))
-
-    def states(self) -> List[StateT]:
-        """Snapshot of the agent states (decoded fresh on every call)."""
-        return self._encoder.decode_all(self._codes.tolist())
+    def _compiled_tables(self):
+        tables = self._encoder.numpy_tables()
+        return (tables["initiator_out"], tables["responder_out"],
+                tables["changed"], tables["leader_delta"])
 
     def codes(self) -> List[int]:
         """Snapshot of the integer state array as a plain list."""
         return self._codes.tolist()
 
-    def configuration(self) -> Configuration[StateT]:
-        """Immutable snapshot of the current configuration."""
-        return Configuration(self._encoder.decode_all(self._codes.tolist()))
-
-    def leader_count(self) -> int:
-        """Number of agents currently outputting the leader symbol (O(1))."""
-        return self._leaders
-
-    def add_observer(self, observer: object) -> None:
-        """Unsupported: observers would reintroduce a Python call per step."""
-        raise InvalidParameterError(
-            "the numpy engine does not support per-interaction observers; "
-            "use the step engine (Simulation) for traced runs"
-        )
-
-    # ------------------------------------------------------------------ #
-    # State capture (the engine snapshot/restore contract)
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> dict:
-        """Capture the full execution state (same contract as ``Simulation``).
-
-        In rng mode the stream snapshot includes :class:`_BlockDraws`'
-        buffered-but-unconsumed generator words, so a restore resumes the
-        ``randrange`` stream at the exact draw the capture was taken at.
-        """
-        return {
-            "codes": self._codes.copy(),
-            "stream": (self._draws.getstate() if self._draws is not None
-                       else self._scheduler.getstate()),
-            "total_steps": self._total_steps,
-            "effective_steps": self._effective_steps,
-            "interactions": self._interactions.copy(),
-            "leaders": self._leaders,
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        """Rewind to a state captured by :meth:`snapshot` (same simulation)."""
-        self._codes = snapshot["codes"].copy()
-        if self._draws is not None:
-            self._draws.setstate(snapshot["stream"])
-        else:
-            self._scheduler.setstate(snapshot["stream"])
-        self._total_steps = snapshot["total_steps"]
-        self._effective_steps = snapshot["effective_steps"]
-        self._interactions = snapshot["interactions"].copy()
-        self._leaders = snapshot["leaders"]
-
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
     def _apply_block(self, initiators, responders) -> None:
         """Apply one block of interactions through the tables, vectorized.
 
@@ -801,8 +547,8 @@ class NumpySimulation(Generic[StateT]):
 
     def _advance(self, count: int) -> None:
         """Execute ``count <= block`` interactions (one vectorized block)."""
-        if self._draws is not None:
-            indices = self._draws.block(self._num_arcs, count)
+        if self._scheduler is None:
+            indices = self._stream.block(self._num_arcs, count)
             initiators, responders = self._population.numpy_endpoints(indices)
             self._apply_block(initiators, responders)
             return
@@ -810,7 +556,7 @@ class NumpySimulation(Generic[StateT]):
         # on exhaustion apply the executed prefix, then propagate — the
         # counters end exactly at the prefix, matching the other engines.
         numpy = self._numpy
-        next_arc = self._scheduler.next_arc
+        next_arc = self._stream.next_arc
         arcs = []
         error = None
         try:
@@ -824,100 +570,3 @@ class NumpySimulation(Generic[StateT]):
                               numpy.ascontiguousarray(pairs[:, 1]))
         if error is not None:
             raise error
-
-    def _advance_chunked(self, count: int) -> None:
-        """Execute ``count`` interactions in block-bounded chunks."""
-        remaining = count
-        block = self._block
-        while remaining > 0:
-            chunk = min(remaining, block)
-            self._advance(chunk)
-            remaining -= chunk
-
-    def step(self) -> bool:
-        """Execute one interaction; return True when some state changed."""
-        before = self._effective_steps
-        self._advance(1)
-        return self._effective_steps != before
-
-    def run(self, steps: int) -> Configuration[StateT]:
-        """Execute exactly ``steps`` interactions and return the final snapshot."""
-        if steps < 0:
-            raise InvalidParameterError(f"steps must be non-negative, got {steps}")
-        self._advance_chunked(steps)
-        return self.configuration()
-
-    def run_sequence(self) -> Configuration[StateT]:
-        """Run until the (deterministic) scheduler is exhausted."""
-        if self._scheduler is None:
-            raise InvalidParameterError(
-                "run_sequence needs an explicit (finite) scheduler; this "
-                "simulation draws from a random source"
-            )
-        try:
-            while True:
-                self._advance(self._block)
-        except ScheduleExhaustedError:
-            pass
-        return self.configuration()
-
-    def run_until(
-        self,
-        predicate: StatePredicate,
-        max_steps: int,
-        check_interval: int = 1,
-        check_backoff: bool = False,
-        check_interval_cap: Optional[int] = None,
-    ) -> RunResult[StateT]:
-        """Run until ``predicate(states)`` holds — identical semantics (and,
-        per arc stream, identical step counts) to the other engines,
-        including the optional geometric check-interval backoff.
-
-        The predicate sees a zero-copy decoded view (shared representative
-        objects); treat it as read-only, as every predicate here does.
-        """
-        if max_steps < 0:
-            raise ValueError(f"max_steps must be non-negative, got {max_steps}")
-        cap = resolve_check_cap(check_interval, check_backoff, check_interval_cap)
-        decode_view = self._encoder.decode_view
-        if predicate(decode_view(self._codes.tolist())):
-            return RunResult(True, 0, self.configuration())
-        executed = 0
-        interval = check_interval
-        while executed < max_steps:
-            burst = min(interval, max_steps - executed)
-            self._advance_chunked(burst)
-            executed += burst
-            if predicate(decode_view(self._codes.tolist())):
-                return RunResult(True, executed, self.configuration())
-            if check_backoff and interval < cap:
-                interval = min(interval * 2, cap)
-        return RunResult(False, executed, self.configuration())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<NumpySimulation protocol={self._protocol.name!r} "
-            f"population={self._population.name!r} states={self._width} "
-            f"steps={self._total_steps}>"
-        )
-
-
-def numpy_simulation_factory(
-    protocol: Protocol[StateT],
-    population: Population,
-    initial: Configuration[StateT],
-    rng: RandomSource,
-    encoder: "StateEncoder[StateT] | None" = None,
-    max_states: int = DEFAULT_MAX_STATES,
-) -> NumpySimulation[StateT]:
-    """Vectorized counterpart of the other engine factories.
-
-    Consumes exactly one ``rng.randint`` draw — the same draw, in the same
-    position, as the step and batched factories — so switching engines never
-    shifts any other random stream and per-trial results stay bit-identical.
-    """
-    return NumpySimulation(
-        protocol, population, initial,
-        rng=rng.randint(0, 2 ** 31 - 1),
-        encoder=encoder, max_states=max_states,
-    )

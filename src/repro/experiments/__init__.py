@@ -1,7 +1,8 @@
 """Experiment harnesses: one module per table / figure / quantitative claim of the paper.
 
-See DESIGN.md §3 for the experiment index (T1, F1, F2, E1-E7) and the
-mapping from each experiment to its benchmark target.
+Each module docstring names its experiment (T1 = Table 1, F1/F2 = Figures 1
+and 2, E1-E7 = the quantitative claims); the benchmark regenerating it lives
+in ``benchmarks/``.
 """
 
 from repro.experiments.detection import DetectionRow, detection_report, measure_detection
@@ -35,30 +36,6 @@ from repro.experiments.scaling import (
 )
 from repro.experiments.table1 import Table1Row, build_table1, render_table1, run_and_render
 
-#: Names still re-exported from the deprecated harness shim.  Resolved
-#: lazily (PEP 562) so that merely importing :mod:`repro.experiments` does
-#: not trigger the shim's DeprecationWarning — only actually reaching for a
-#: legacy name does, which is exactly when the warning is deserved.
-_HARNESS_NAMES = frozenset({
-    "ProtocolRunner",
-    "SweepResult",
-    "run_angluin",
-    "run_fischer_jiang",
-    "run_ppl",
-    "run_ppl_leaderless",
-    "run_yokota",
-    "sweep",
-})
-
-
-def __getattr__(name: str):
-    if name in _HARNESS_NAMES:
-        from repro.experiments import harness
-
-        return getattr(harness, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "DetectionRow",
     "EliminationRow",
@@ -67,7 +44,6 @@ __all__ = [
     "Figure2Result",
     "OrientationRow",
     "ScalingSeries",
-    "SweepResult",
     "Table1Row",
     "ascii_bar_chart",
     "build_table1",
@@ -88,12 +64,6 @@ __all__ = [
     "regenerate_figure2",
     "render_table1",
     "run_and_render",
-    "run_angluin",
-    "run_fischer_jiang",
-    "run_ppl",
-    "run_ppl_leaderless",
-    "run_yokota",
     "scaling_report",
     "scaling_summary",
-    "sweep",
 ]

@@ -141,7 +141,7 @@ def orientation_report(config: Optional[ExperimentConfig] = None) -> str:
                  row.states, row.all_converged)
                 for row in coloring_rows
             ],
-            title="two-hop coloring substrate (substituted protocol; see DESIGN.md)",
+            title="two-hop coloring substrate (ring-specialised stand-in for [24])",
         ),
     ]
     return "\n\n".join(sections)

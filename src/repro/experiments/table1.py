@@ -7,8 +7,7 @@ convergence steps (mean over adversarial trials at each configured ring size)
 and *computed* state-space sizes, plus the assumption column verbatim.
 
 The Chen–Chen row [11] is analytic: its convergence time is super-exponential
-and cannot be simulated to completion (the row is labelled accordingly; see
-DESIGN.md §2.3).
+and cannot be simulated to completion (the row is labelled accordingly).
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ def build_table1(config: ExperimentConfig, reference_size: Optional[int] = None,
             measured_mean_steps=angluin_result.mean_steps(),
             states=AngluinModKProtocol(angluin_k).state_space_size(),
             paper_states="O(1)",
-            note=f"measured at n={angluin_n}; elimination modernised (see DESIGN.md)",
+            note=f"measured at n={angluin_n}; elimination modernised (bullets and shields)",
         ),
         Table1Row(
             protocol="[15] Fischer-Jiang",

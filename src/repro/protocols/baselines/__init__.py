@@ -8,8 +8,9 @@
   Fischer, Jiang 2008: ring size not a multiple of ``k``, ``O(1)`` states.
 * :mod:`repro.protocols.baselines.thue_morse` and
   :mod:`repro.protocols.baselines.chen_chen` — [11] Chen, Chen 2019:
-  no assumption, ``O(1)`` states, exponential time (substrate + analytic
-  model; see DESIGN.md for the substitution rationale).
+  no assumption, ``O(1)`` states, exponential time (the substrate plus an
+  analytic model, because [11] cannot be run to convergence; see
+  :mod:`repro.protocols.baselines.chen_chen`).
 """
 
 from repro.protocols.baselines.angluin_modk import AngluinModKProtocol, AngluinState

@@ -9,7 +9,7 @@ would force ``k | n`` — so some agent always witnesses a local violation and
 can become a leader.  With a leader present, a consistent labelling exists
 and, once reached, no violation is ever witnessed again.
 
-Substitution (see DESIGN.md): the original paper's transition table is not
+Substitution: the original paper's transition table is not
 reproduced in the target paper; we implement the detection principle above
 with the modern bullets-and-shields elimination (Algorithm 5).  A follower
 that witnesses a violation resolves it with the scheduler's coin: it either
@@ -19,8 +19,8 @@ branches are exercised with probability 1, which keeps the protocol
 self-stabilizing: stale violations are eventually repaired, genuine
 leaderlessness eventually creates a leader.  The state budget stays
 ``O(k) = O(1)``; the measured convergence is faster than the original
-``Theta(n^3)`` because of the borrowed elimination machinery, which
-EXPERIMENTS.md reports explicitly.
+``Theta(n^3)`` because of the borrowed elimination machinery, which the
+Table-1 row notes explicitly.
 """
 
 from __future__ import annotations

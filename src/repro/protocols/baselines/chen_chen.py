@@ -8,7 +8,7 @@ exists, while a leaderless ring eventually exhibits a cube ``www`` and the
 discovery of such a cube triggers leader creation.  The price is an
 expected convergence time that is super-exponential in ``n``.
 
-Substitution (see DESIGN.md §2.3): the full transition table of [11] is far
+Substitution: the full transition table of [11] is far
 too intricate to re-derive from the two paragraphs the target paper devotes
 to it, and even a faithful re-implementation could not be *run* to
 convergence (super-exponential time) for any interesting ``n``.  What Table 1

@@ -6,7 +6,7 @@ oracle SS-LE on rings is solvable with a constant number of states; the
 target paper cites its convergence as ``Theta(n^3)`` expected steps when the
 oracle reports instantaneously.
 
-Substitution (see DESIGN.md): an oracle is an abstraction outside the pure
+Substitution: an oracle is an abstraction outside the pure
 population-protocol model, so it cannot live inside the pairwise transition
 function.  We reproduce it as :class:`OracleOmega`, a simulation-level
 component that periodically inspects the global configuration and, when no

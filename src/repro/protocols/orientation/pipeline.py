@@ -15,7 +15,8 @@ three-phase pipeline used by the examples and the orientation experiment:
 
 A formally composed single protocol (product state space, fair interleaving)
 would behave the same but adds nothing to the reproduction; the phase
-boundaries below are simulation-level, which is stated in DESIGN.md.
+boundaries below are simulation-level: a phase ends when the driver sees its
+goal reached, not through any signal inside the protocols.
 """
 
 from __future__ import annotations

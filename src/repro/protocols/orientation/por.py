@@ -24,8 +24,7 @@ flag, so the boundary between the two segments keeps moving in the same
 direction until the losing segment disappears — this is the persistence that
 yields the ``O(n^2 log n)`` bound.  The prose's wording about which head
 "wins" reads inverted relative to the pseudocode, but the pseudocode is the
-self-consistent version (the prose reading produces an oscillating boundary);
-see DESIGN.md, "Pseudocode ambiguities resolved".
+self-consistent version (the prose reading produces an oscillating boundary).
 """
 
 from __future__ import annotations

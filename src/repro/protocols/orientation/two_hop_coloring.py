@@ -9,7 +9,7 @@ The target paper delegates this to the self-stabilizing protocol of Sudo et
 al. [24] and adds the rule "each agent memorizes the two different colors it
 observed most recently" to populate ``c1``/``c2``.  Reproducing [24] in full
 is out of scope (it is a full paper of its own, designed for arbitrary
-graphs); following the substitution rule in DESIGN.md we implement a
+graphs), so we substitute a protocol with the same guarantees: a
 ring-specialised randomized recoloring protocol that supplies the properties
 ``P_OR`` consumes:
 

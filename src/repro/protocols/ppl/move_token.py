@@ -18,7 +18,7 @@ written/checked and ``b''`` the carry flag of the binary increment.
 Pseudocode fidelity note: line 30 of the paper reads
 ``l.token <- (r.token[1]+1, l.token[2], l.token[3])`` although ``l.token`` may
 be absent at that point; we implement the evident intent that a leftward
-moving token carries *its own* bits (see DESIGN.md, "Pseudocode ambiguities").
+moving token carries *its own* bits.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ def is_invalid_token(state: PPLState, color: str, params: PPLParams) -> bool:
     token alive at its final destination, contradicting the prose "a valid
     token ... disappears" and the role "deleting a token that has reached the
     final destination" attributed to lines 32-33).  We therefore implement the
-    evident intent: invalid = landing *outside* the stated zone.  See
-    DESIGN.md, "Pseudocode ambiguities resolved".
+    evident intent: invalid = landing *outside* the stated zone.
     """
     token = state.token(color)
     if token is None:

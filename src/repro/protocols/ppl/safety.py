@@ -26,7 +26,7 @@ line 27) maintain ``token[3] = carry *out* of position x``, i.e.
 ``b_x xor carry_in(x)`` with ``carry_in(x) = 1 iff x <= j`` — under either
 reading ``token[2]`` agrees with Lemma 4.4.  We implement the dynamics-
 consistent version so that freshly created tokens are correct and closure
-holds, and record the off-by-one here and in DESIGN.md.
+holds, and record the off-by-one here.
 """
 
 from __future__ import annotations

@@ -132,14 +132,3 @@ def test_ensure_angluin_spec_registers_variants_on_demand():
         assert run_spec("angluin-mod3", 8, TINY).all_converged
     finally:
         unregister("angluin-mod3")
-
-
-# ---------------------------------------------------------------------- #
-# Shim equivalence: the legacy harness adapters are bit-identical
-# ---------------------------------------------------------------------- #
-def test_harness_shims_are_bit_identical_to_run_spec():
-    from repro.experiments.harness import run_fischer_jiang, run_ppl, run_yokota
-
-    assert run_ppl(8, TINY).steps == run_spec("ppl", 8, TINY).steps
-    assert run_yokota(8, TINY).steps == run_spec("yokota2021", 8, TINY).steps
-    assert run_fischer_jiang(8, TINY).steps == run_spec("fischer-jiang", 8, TINY).steps

@@ -52,7 +52,7 @@ def test_rep003_flags_module_scope_numpy_only_in_scoped_packages():
     assert lint_source(lazy, module="repro.core.fast_simulator") == []
     # Outside repro.core / repro.topology the rule does not apply at all.
     eager = "import numpy\n"
-    assert lint_source(eager, module="repro.experiments.harness") == []
+    assert lint_source(eager, module="repro.experiments.scaling") == []
     assert len(lint_source(eager, module="repro.topology.torus")) == 1
 
 
@@ -176,6 +176,19 @@ def test_rep006_flags_snapshot_restore_gaps():
     messages = {finding.message for finding in findings}
     assert any("_cursor" in m and "restore()" in m for m in messages)
     assert any("_tally" in m and "snapshot()" in m for m in messages)
+
+
+def test_rep006_follows_same_module_base_classes():
+    # A field born in a base __init__ must round-trip through the snapshot
+    # pair the subclass actually runs: its own methods plus whatever they
+    # reach through super().  Replacing the base pair drops the base fields.
+    findings = lint_file(FIXTURES / "plain" / "bad_base_snapshot_gap.py")
+    assert [finding.rule for finding in findings] == ["REP006", "REP006"]
+    messages = {finding.message for finding in findings}
+    assert any("_tally" in m and "EngineBase.__init__" in m
+               and "LeakyEngine's" in m for m in messages)
+    assert any("_clock" in m and "RoundTripBase.__init__" in m
+               and "ReplacingEngine's" in m for m in messages)
 
 
 def test_rep006_counts_method_receivers_as_references():

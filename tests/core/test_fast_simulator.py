@@ -159,6 +159,45 @@ def test_batched_engine_rejects_observers():
         batched.add_observer(lambda *args: None)
 
 
+#: Every engine tier installed here, by name.
+ENGINE_CLASSES = {"step": Simulation, "batched": BatchedSimulation}
+if numpy_available():
+    ENGINE_CLASSES["numpy"] = NumpySimulation
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINE_CLASSES))
+def test_run_sequence_rejects_a_random_source(engine):
+    """A simulation drawing from a random source has no end to drain.
+
+    Regression: the step engine used to draw forever here.  The transition
+    guard turns such a loop into a failure instead of a hang.
+    """
+    _, protocol, population, initial = _trial_ingredients("yokota2021")
+    simulation = ENGINE_CLASSES[engine](protocol, population, initial, rng=3)
+    calls = []
+
+    def bounded(initiator, responder, transition=protocol.transition):
+        calls.append(None)
+        if len(calls) > 10_000:
+            raise RuntimeError("run_sequence kept drawing from the random source")
+        return transition(initiator, responder)
+
+    protocol.transition = bounded
+    with pytest.raises(InvalidParameterError):
+        simulation.run_sequence()
+    assert simulation.steps == 0
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINE_CLASSES))
+def test_run_rejects_a_negative_step_count(engine):
+    """Regression: the step engine used to return silently on run(-5)."""
+    _, protocol, population, initial = _trial_ingredients("yokota2021")
+    simulation = ENGINE_CLASSES[engine](protocol, population, initial, rng=3)
+    with pytest.raises(InvalidParameterError):
+        simulation.run(-5)
+    assert simulation.steps == 0
+
+
 # ---------------------------------------------------------------------- #
 # Engine selection through the spec / executor / builder layers
 # ---------------------------------------------------------------------- #

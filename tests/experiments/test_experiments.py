@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.registry import run_spec, runner_for
 from repro.experiments import (
     ExperimentConfig,
     build_table1,
@@ -14,16 +15,16 @@ from repro.experiments import (
     regenerate_figure1,
     regenerate_figure2,
     render_table1,
-    run_angluin,
-    run_ppl,
-    run_yokota,
-    sweep,
 )
 from repro.experiments.reporting import ascii_bar_chart, format_series, format_table
 
 #: A deliberately tiny configuration so the whole experiment stack runs in seconds.
 TINY = ExperimentConfig(sizes=(6, 8), trials=1, max_steps=600_000,
                         check_interval=32, kappa_factor=4, seed=99)
+
+#: Per-point sweep runners on the scaling sweep's families and rng labels.
+run_ppl = runner_for("ppl", family="adversarial")
+run_yokota = runner_for("yokota2021")
 
 
 # ---------------------------------------------------------------------- #
@@ -57,16 +58,9 @@ def test_run_ppl_and_yokota_runners_converge():
 
 def test_run_angluin_rejects_divisible_sizes():
     with pytest.raises(ValueError):
-        run_angluin(8, TINY, k=2)
-    result = run_angluin(9, TINY, k=2)
+        run_spec("angluin-modk", 8, TINY)
+    result = run_spec("angluin-modk", 9, TINY)
     assert result.all_converged
-
-
-def test_sweep_collects_all_sizes():
-    result = sweep(run_ppl, TINY, "P_PL")
-    assert result.sizes() == [6, 8]
-    assert len(result.mean_steps()) == 2
-    assert result.converged_everywhere()
 
 
 def test_measure_scaling_produces_fits():
